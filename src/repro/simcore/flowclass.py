@@ -34,16 +34,27 @@ member) -- parity tests pin the two modes against each other.
 Within one class, members complete in fixed order (all members
 progress at the shared per-member rate, so relative order is set by
 remaining work at join time); the pool tracks that order with a
-cumulative-progress threshold heap, so a member join/complete costs
-O(log members) plus one O(members-in-class) banking sweep per bitwise
-rate change -- never a per-session flow in the solver.
+cumulative-progress threshold heap. Member progress lives in two
+float64 columns per class, ``remaining`` and ``synced`` (grown by
+doubling, swap-removed on completion), so a bitwise rate change banks
+the whole class in one vectorised pass whose elements carry exactly
+the bits of the scalar loop. Only the class head's ETA is ever read,
+so only the head's is computed (``_refresh_member``, from its column
+entries and the class rate) when it is queued on the pool wake heap;
+a wake-heap entry stays valid while the class *epoch* -- bumped at
+every banking sweep -- is unchanged. A rate change therefore costs
+O(1) Python work per class plus one vectorised pass over its
+members, and a join/complete O(log members) -- never a per-session
+flow in the solver.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.simcore.events import Event
 from repro.simcore.fluid import (
@@ -84,50 +95,54 @@ class FlowClass:
         return f"FlowClass({self.name!r}, cap={self.cap:.3g})"
 
 
+_MIN_COLUMN = 8  # initial column capacity of a class
+
+
 class _Member:
-    """One admitted transfer inside a class."""
+    """One admitted transfer inside a class.
 
-    __slots__ = (
-        "name",
-        "work",
-        "remaining",
-        "synced_at",
-        "eta",
-        "eta_horizon",
-        "eta_anchor",
-        "eta_seq",
-        "seq",
-        "active",
-        "done",
-        "state",
-    )
+    Its progress lives in the class's columns at ``slot``; the slot
+    moves when another member is swap-removed from the class.
+    """
 
-    def __init__(self, name: str, work: float, now: float, seq: int):
+    __slots__ = ("name", "slot", "seq", "active", "done", "state")
+
+    def __init__(self, name: str, seq: int, state: "_ClassState", done: Event):
         self.name = name
-        self.work = work
-        self.remaining = work
-        self.synced_at = now
-        self.eta = float("inf")
-        self.eta_horizon = float("inf")
-        self.eta_anchor = now
-        self.eta_seq = 0  # bumped at each refresh; lazy heap deletion
+        self.slot = -1
         self.seq = seq  # global admit order; breaks completion ties
         self.active = True
-        self.done: Optional[Event] = None
-        self.state: Optional["_ClassState"] = None
+        self.done = done
+        self.state = state
 
 
 class _ClassState:
-    """Live members and the aggregate flow of one class."""
+    """Live members, their progress columns and the class's aggregate."""
 
-    __slots__ = ("spec", "agg", "members", "order", "progress", "p_synced", "rate")
+    __slots__ = (
+        "spec",
+        "agg",
+        "names",
+        "members",
+        "remaining",
+        "synced",
+        "order",
+        "progress",
+        "p_synced",
+        "rate",
+        "epoch",
+    )
 
     def __init__(self, spec: FlowClass):
         self.spec = spec
         self.agg: Optional[FluidTask] = None
-        #: admit order preserved (dict insertion); banking sweeps walk
-        #: this, so both pool modes see members deterministically.
-        self.members: Dict[str, _Member] = {}
+        self.names: Set[str] = set()
+        #: live members by slot; ``remaining[i]`` and ``synced[i]``
+        #: (work left as of ``synced[i]``) belong to ``members[i]``.
+        #: Only the first ``len(members)`` column entries are live.
+        self.members: List[_Member] = []
+        self.remaining = np.empty(_MIN_COLUMN, dtype=np.float64)
+        self.synced = np.empty(_MIN_COLUMN, dtype=np.float64)
         #: completion-order heap keyed by the cumulative per-member
         #: progress at which each member finishes (progress-at-join +
         #: work). All members drain at the shared rate, so this order
@@ -136,6 +151,46 @@ class _ClassState:
         self.progress = 0.0  # cumulative per-member work served
         self.p_synced = 0.0
         self.rate = 0.0  # mirror of agg.rate (per-member)
+        #: banking sweeps so far; a wake entry is live only while the
+        #: epoch it was pushed at is current.
+        self.epoch = 0
+
+    def append(self, member: _Member, work: float, now: float) -> None:
+        slot = len(self.members)
+        if slot == len(self.remaining):
+            self.remaining = np.resize(self.remaining, 2 * slot)
+            self.synced = np.resize(self.synced, 2 * slot)
+        self.remaining[slot] = work
+        self.synced[slot] = now
+        member.slot = slot
+        self.members.append(member)
+
+    def swap_remove(self, member: _Member) -> None:
+        last = self.members.pop()
+        if last is not member:
+            slot, tail = member.slot, len(self.members)
+            self.remaining[slot] = self.remaining[tail]
+            self.synced[slot] = self.synced[tail]
+            self.members[slot] = last
+            last.slot = slot
+
+
+def _bank_columns(
+    remaining: np.ndarray, synced: np.ndarray, old: float, now: float
+) -> None:
+    """Bank every member's progress at rate ``old`` up to ``now``.
+
+    Elementwise the scalar fluid banking, ``if mdt > 0: remaining =
+    max(remaining - old*mdt, 0.0)``, with the same bits:
+    ``np.where(x < 0.0, 0.0, x)`` keeps ``-0.0`` and NaN exactly as
+    ``max(x, 0.0)`` does (``np.maximum`` would not), and the
+    ``mdt > 0`` mask discards the ``inf*0`` lanes.
+    """
+    mdt = now - synced
+    with np.errstate(invalid="ignore"):
+        x = remaining - old * mdt
+        np.copyto(remaining, np.where(x < 0.0, 0.0, x), where=mdt > 0)
+    synced.fill(now)
 
 
 @dataclass
@@ -160,7 +215,7 @@ class FlowClassStats:
         }
 
 
-# Pool wake-heap entry: (eta, push id, member, eta seq, horizon,
+# Pool wake-heap entry: (eta, push id, member, class epoch, horizon,
 # anchor) -- same shape and arming discipline as the fluid ETA heap.
 _HeapEntry = Tuple[float, int, _Member, int, float, float]
 
@@ -209,29 +264,33 @@ class FlowClassPool:
         """Admit one member transfer of ``work`` units against ``spec``.
 
         Returns the event fired at completion; its value is the
-        completion time (matching ``FluidScheduler.submit``).
+        completion time (matching ``FluidScheduler.submit``). A
+        rejected submit (negative work, duplicate member name, class
+        redefinition) leaves the pool and its counters untouched.
         """
         if work < 0:
             raise ValueError(f"work must be >= 0, got {work}")
-        self.stats.members_submitted += 1
         if not self.aggregate:
             task = FluidTask(
                 name, work, spec.usage, cap=spec.cap, floor=spec.floor
             )
-            return self.sched.submit(task)
+            done = self.sched.submit(task)
+            self.stats.members_submitted += 1
+            return done
         now = self.env.now
         if work <= _WORK_EPS:
             done = Event(self.env)
             done.succeed(now)
+            self.stats.members_submitted += 1
             self.stats.members_completed += 1
             return done
         state = self._state_of(spec)
+        if name in state.names:
+            raise ValueError(f"duplicate member name {name!r}")
+        self.stats.members_submitted += 1
+        work = float(work)
         self._seq_ids += 1
-        member = _Member(name, float(work), now, self._seq_ids)
-        member.done = Event(self.env)
-        member.state = state
-        if member.name in state.members:
-            raise ValueError(f"duplicate member name {member.name!r}")
+        member = _Member(name, self._seq_ids, state, Event(self.env))
         # Sync cumulative progress to now so the ordering threshold is
         # comparable with members admitted at other instants.
         if state.agg is not None:
@@ -239,10 +298,12 @@ class FlowClassPool:
             if dt > 0:
                 state.progress += state.rate * dt
         state.p_synced = now
-        state.members[member.name] = member
+        state.names.add(name)
+        state.append(member, work, now)
         heapq.heappush(
-            state.order, (state.progress + member.work, member.seq, member)
+            state.order, (state.progress + work, member.seq, member)
         )
+        epoch = state.epoch
         if state.agg is None:
             agg = FluidTask(
                 f"fc:{spec.name}",
@@ -264,10 +325,10 @@ class FlowClassPool:
             agg.cap = self._member_cap(state)
             self.sched.set_usage(agg, self._scaled_usage(state))
         # If the solve left the per-member rate bitwise unchanged (a
-        # cap-pinned class with slack), no banking sweep ran and the
-        # new member has no ETA yet: anchor one at the standing rate.
-        if member.active and member.eta_seq == 0:
-            self._refresh_member(member, state.rate, self.env.now)
+        # cap-pinned class with slack), no banking sweep ran, and the
+        # newcomer may now be the head: queue the head at the
+        # standing rate.
+        if state.epoch == epoch:
             self._push_head(state)
             self._arm_wake()
         return member.done
@@ -324,7 +385,7 @@ class FlowClassPool:
     def _on_agg_rate(
         self, state: _ClassState, old: float, new: float, now: float
     ) -> None:
-        """Bank every member at the outgoing rate; re-anchor ETAs.
+        """Bank every member at the outgoing rate; re-queue the head.
 
         Runs from inside the allocator's solve (the ``on_rate`` hook),
         so it must not mutate the scheduler -- it only touches pool
@@ -335,25 +396,22 @@ class FlowClassPool:
         if dt > 0:
             state.progress += old * dt
         state.p_synced = now
-        for member in state.members.values():
-            mdt = now - member.synced_at
-            if mdt > 0:
-                member.remaining = max(member.remaining - old * mdt, 0.0)
-            member.synced_at = now
-            self._refresh_member(member, new, now)
+        n = len(state.members)
+        _bank_columns(state.remaining[:n], state.synced[:n], old, now)
+        state.epoch += 1
         self.stats.disaggregations += 1
         self._push_head(state)
         self._arm_wake()
 
-    def _refresh_member(self, member: _Member, rate: float, now: float) -> None:
-        member.eta_seq += 1
-        if rate > 0:
-            horizon = member.remaining / rate
-            member.eta = now + horizon
-            member.eta_horizon = horizon
-            member.eta_anchor = now
-        else:
-            member.eta = float("inf")
+    def _refresh_member(
+        self, state: _ClassState, member: _Member
+    ) -> Tuple[float, float, float]:
+        """``member``'s ``(eta, horizon, anchor)`` at the class rate."""
+        anchor = float(state.synced[member.slot])
+        if state.rate > 0:
+            horizon = float(state.remaining[member.slot]) / state.rate
+            return anchor + horizon, horizon, anchor
+        return float("inf"), float("inf"), anchor
 
     def _push_head(self, state: _ClassState) -> None:
         """Queue the class's next completion on the pool wake heap."""
@@ -363,19 +421,13 @@ class FlowClassPool:
         if not order:
             return
         head = order[0][2]
-        if head.eta == float("inf"):
+        eta, horizon, anchor = self._refresh_member(state, head)
+        if eta == float("inf"):
             return
         self._push_ids += 1
         heapq.heappush(
             self._heap,
-            (
-                head.eta,
-                self._push_ids,
-                head,
-                head.eta_seq,
-                head.eta_horizon,
-                head.eta_anchor,
-            ),
+            (eta, self._push_ids, head, state.epoch, horizon, anchor),
         )
 
     def _arm_wake(self) -> None:
@@ -389,14 +441,14 @@ class FlowClassPool:
         """
         heap = self._heap
         while heap:
-            _eta, _pid, member, eta_seq, _horizon, _t0 = heap[0]
-            if member.active and member.eta_seq == eta_seq:
+            _eta, _pid, member, epoch, _horizon, _t0 = heap[0]
+            if member.active and member.state.epoch == epoch:
                 break
             heapq.heappop(heap)
         if not heap:
             self._next_wake = float("inf")
             return
-        eta, _pid, _member, _eseq, horizon, t0 = heap[0]
+        eta, _pid, _member, _epoch, horizon, t0 = heap[0]
         if eta >= self._next_wake:
             return
         self._wake_token += 1
@@ -415,8 +467,8 @@ class FlowClassPool:
         now = self.env.now
         heap = self._heap
         while heap:
-            eta, _pid, member, eta_seq, _horizon, _t0 = heap[0]
-            if not (member.active and member.eta_seq == eta_seq):
+            eta, _pid, member, epoch, _horizon, _t0 = heap[0]
+            if not (member.active and member.state.epoch == epoch):
                 heapq.heappop(heap)
                 continue
             if eta > now:
@@ -427,13 +479,10 @@ class FlowClassPool:
 
     def _complete_member(self, member: _Member, now: float) -> None:
         state = member.state
-        assert state is not None  # set at admit time
         member.active = False
-        member.eta_seq += 1
-        member.remaining = 0.0
-        del state.members[member.name]
+        state.names.remove(member.name)
+        state.swap_remove(member)
         self.stats.members_completed += 1
-        assert member.done is not None  # set at admit time
         member.done.succeed(now)
         if not state.members:
             agg = state.agg

@@ -1,8 +1,11 @@
 """Sharded serving: per-site verdicts, FIFO handoff, 10k-scale parity."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config import FlowClassConfig, SiteSpec, TopologyConfig
+from repro.netlogger.events import Tags, parse_ulm
 from repro.service.admission import AdmissionVerdict, QueueFull, SlotQueue
 from repro.service.shard import ShardCampaign, run_shard_campaign
 from repro.service.workload import ViewerProfile, WorkloadSpec
@@ -30,6 +33,19 @@ def _mini_campaign(
     return ShardCampaign(
         name="mini", topology=topology, workload=workload, seed=seed
     )
+
+
+def _assert_sessions_conserved(result, ulm_path):
+    """Every admitted member completes, and every session ends once."""
+    assert result.flows["members_submitted"] == result.flows[
+        "members_completed"
+    ]
+    events = (parse_ulm(line) for line in ulm_path.read_text().splitlines())
+    ends = Counter(
+        ev.get("session") for ev in events if ev.event == Tags.SVC_END
+    )
+    assert None not in ends and max(ends.values()) == 1
+    assert sum(ends.values()) == result.metrics.service.completed
 
 
 class TestPlacementVerdicts:
@@ -150,13 +166,15 @@ class TestServe10k:
     def quick(self):
         return ShardCampaign.sc99_serve10k(n_sessions=400)
 
-    def test_quick_campaign_admits_everyone(self, quick):
-        result = run_shard_campaign(quick)
+    def test_quick_campaign_admits_everyone(self, quick, tmp_path):
+        ulm = tmp_path / "quick.ulm"
+        result = run_shard_campaign(quick, ulm_path=str(ulm))
         service = result.metrics.service
         assert service.offered == 400
         assert service.admitted == 400
         assert service.completed == 400
         assert service.rejected == 0
+        _assert_sessions_conserved(result, ulm)
 
     def test_aggregate_matches_oracle_record_for_record(self, quick):
         oracle = run_shard_campaign(
@@ -177,13 +195,15 @@ class TestServe10k:
         )
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_parity_across_seeds(self, seed):
+    def test_parity_across_seeds(self, seed, tmp_path):
         config = ShardCampaign.sc99_serve10k(n_sessions=120, seed=seed)
         oracle = run_shard_campaign(
             config.with_changes(flow_classes=FlowClassConfig(enabled=False))
         )
-        aggregate = run_shard_campaign(config)
+        ulm = tmp_path / "aggregate.ulm"
+        aggregate = run_shard_campaign(config, ulm_path=str(ulm))
         assert aggregate.records == oracle.records
+        _assert_sessions_conserved(aggregate, ulm)
 
     def test_ulm_log_is_deterministic(self, quick, tmp_path):
         config = quick.with_changes(
