@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "stripe: parity-read overhead + flaky-drill "
                         "p99 read latency vs the fault-free baseline; "
                         "kernels: vectorized raycast/raster/fairshare "
-                        "vs scalar oracles + calendar-vs-heap events")
+                        "vs scalar oracles")
     p.add_argument("--quick", action="store_true",
                    help="small workloads (CI-sized; scaled e2e campaign)")
     p.add_argument("--no-e2e", action="store_true",

@@ -1,8 +1,7 @@
 """Consolidated configuration: one frozen dataclass per layer.
 
-Historically every knob rode in as its own keyword argument --
-``tcp_params`` here, ``compression`` there, nine overlap knobs on the
-back end. This module gathers them:
+Each layer takes its knobs as one ``config=`` argument instead of a
+keyword argument per knob. This module defines them:
 
 - :class:`NetworkConfig` -- how an endpoint uses the wire (TCP
   parameters, optional compression, optional request policy);
@@ -11,16 +10,12 @@ back end. This module gathers them:
 - :class:`ExperimentConfig` -- one runnable experiment (a named
   campaign plus overrides), JSON round-trippable so a drill or a CI
   matrix can be a file.
-
-The old keyword arguments still work but raise
-:class:`DeprecationWarning`; they will be removed after one release.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -30,19 +25,6 @@ from repro.util.units import MB, mbps
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a cycle through repro.dpss
     from repro.dpss.compression import CompressionModel
-
-#: Sentinel distinguishing "not passed" from "passed None" in
-#: deprecated keyword arguments.
-_UNSET: Any = object()
-
-
-def warn_deprecated_kwarg(owner: str, old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a legacy kwarg."""
-    warnings.warn(
-        f"{owner}({old}=...) is deprecated; pass {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -482,16 +464,6 @@ class BackendConfig:
     def with_changes(self, **changes: Any) -> "BackendConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-
-#: BackendConfig field names that used to be SimBackEnd kwargs.
-#: ``network`` and ``tiles`` never were kwargs -- they postdate the
-#: config refactor -- so they are not part of the legacy shim.
-BACKEND_LEGACY_FIELDS = tuple(
-    f.name
-    for f in fields(BackendConfig)
-    if f.name not in ("network", "tiles")
-)
 
 
 @dataclass(frozen=True)

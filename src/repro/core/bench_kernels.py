@@ -1,10 +1,9 @@
 """Compute-kernel benchmarks (``visapult bench --suite kernels``).
 
-Four microbenchmarks pin the hot kernels this codebase leans on, each
-against its bitwise-identical scalar oracle (the PR 5 pattern: the
-``vectorized=False`` / ``scheduler="heap"`` paths *are* the reference
-implementations, so the wall-clock ratio is a pure measure of the
-vectorized engines):
+Three microbenchmarks pin the hot kernels this codebase leans on, each
+against its bitwise-identical scalar oracle (the ``vectorized=False``
+paths *are* the reference implementations, so the wall-clock ratio is
+a pure measure of the vectorized engines):
 
 - ``raycast``: :func:`repro.volren.raycast.render_slab` over a random
   volume -- batched transfer function + cumprod composite vs the
@@ -12,11 +11,7 @@ vectorized engines):
 - ``raster``: :func:`repro.scenegraph.raster.render` of a textured
   quad-mesh scene -- grid edge functions vs the per-pixel reference;
 - ``fairshare``: :func:`repro.simcore.fairshare.fill_rates` on one big
-  component -- coefficient-matrix rounds vs the dict-walking oracle;
-- ``events``: a hold-model churn on the raw event engines (pop one,
-  push one at ``t + delay``) with a large resident set, calendar queue
-  vs heapq, plus an end-to-end timeout storm through
-  :class:`~repro.simcore.env.Environment` under both schedulers.
+  component -- coefficient-matrix rounds vs the dict-walking oracle.
 
 Results land in ``BENCH_kernels.json``;
 ``benchmarks/perf/baseline_kernels.json`` pins the speedup floors CI
@@ -26,10 +21,9 @@ hardware-robust).
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -38,8 +32,6 @@ from repro.core.bench import (
     check_floors,
     write_results as _write_results,
 )
-from repro.simcore.calendar import CalendarQueue
-from repro.simcore.env import Environment
 from repro.simcore.fairshare import FlowSpec, ResourceSpec, fill_rates
 
 write_results = _write_results
@@ -167,118 +159,12 @@ def bench_fairshare(*, quick: bool = False) -> Dict[str, float]:
     }
 
 
-# -- event engine --------------------------------------------------------
-def _churn_workload(
-    resident: int, ops: int, seed: int
-) -> Tuple[List[Tuple[float, int, int, None]], List[float]]:
-    rng = random.Random(seed)
-    entries = [
-        (rng.random() * 100.0, rng.randint(0, 2), i, None)
-        for i in range(resident)
-    ]
-    delays = [rng.expovariate(1.0) * 0.1 for _ in range(ops)]
-    return entries, delays
-
-
-def _churn_heap(
-    entries: List[Tuple[float, int, int, None]],
-    delays: List[float],
-    warm: int,
-) -> float:
-    queue: List[Tuple[float, int, int, None]] = []
-    counter = len(entries)
-    for entry in entries:
-        heapq.heappush(queue, entry)
-    # Steady-state hold churn only: load and the first `warm` ops (where
-    # the calendar's width adaptation settles) are untimed for both
-    # engines; churn is what a long campaign spends its wall-clock on.
-    for delay in delays[:warm]:
-        t, prio, _cnt, _ = heapq.heappop(queue)
-        counter += 1
-        heapq.heappush(queue, (t + delay, prio, counter, None))
-    start = time.perf_counter()
-    for delay in delays[warm:]:
-        t, prio, _cnt, _ = heapq.heappop(queue)
-        counter += 1
-        heapq.heappush(queue, (t + delay, prio, counter, None))
-    return time.perf_counter() - start
-
-
-def _churn_calendar(
-    entries: List[Tuple[float, int, int, None]],
-    delays: List[float],
-    warm: int,
-) -> float:
-    queue = CalendarQueue()
-    counter = len(entries)
-    for entry in entries:
-        queue.push(entry)
-    for delay in delays[:warm]:
-        t, prio, _cnt, _ = queue.pop()
-        counter += 1
-        queue.push((t + delay, prio, counter, None))
-    start = time.perf_counter()
-    for delay in delays[warm:]:
-        t, prio, _cnt, _ = queue.pop()
-        counter += 1
-        queue.push((t + delay, prio, counter, None))
-    return time.perf_counter() - start
-
-
-def _timeout_storm(scheduler: str, n_procs: int, hops: int) -> float:
-    env = Environment(scheduler=scheduler)
-
-    def proc(env: Environment, delay: float):
-        for _ in range(hops):
-            yield env.timeout(delay)
-
-    for k in range(n_procs):
-        env.process(proc(env, 0.01 + (k % 97) * 1e-4))
-    start = time.perf_counter()
-    env.run()
-    return time.perf_counter() - start
-
-
-def bench_events(*, quick: bool = False) -> Dict[str, float]:
-    """Hold-model churn on the raw engines + an Environment timeout storm.
-
-    The churn preloads a large resident set, then repeatedly pops the
-    minimum and pushes a successor at ``t + delay``: the monotone
-    access pattern every simulation run exhibits, at the 1M-event scale
-    the heapq engine's O(log n) tuple comparisons hurt most.
-    """
-    # The 1M resident set is the benchmark (the calendar's O(1) hold
-    # beats heapq's O(log n) only at depth); quick mode trims churn ops,
-    # not residency, so the CI gate measures the same regime.
-    resident, ops = (1_000_000, 300_000) if quick else (1_000_000, 1_000_000)
-    warm = 200_000
-    entries, delays = _churn_workload(resident, warm + ops, seed=4)
-    heap_s = _churn_heap(entries, delays, warm)
-    calendar_s = _churn_calendar(entries, delays, warm)
-
-    storm_procs, storm_hops = (2_000, 25) if quick else (10_000, 40)
-    env_heap_s = _timeout_storm("heap", storm_procs, storm_hops)
-    env_calendar_s = _timeout_storm("calendar", storm_procs, storm_hops)
-    return {
-        "resident_events": float(resident),
-        "churn_ops": float(ops),
-        "heap_s": round(heap_s, 4),
-        "calendar_s": round(calendar_s, 4),
-        "churn_speedup": _ratio(heap_s, calendar_s),
-        "storm_events": float(storm_procs * storm_hops),
-        "env_heap_s": round(env_heap_s, 4),
-        "env_calendar_s": round(env_calendar_s, 4),
-        "env_speedup": _ratio(env_heap_s, env_calendar_s),
-    }
-
-
 # -- suite ---------------------------------------------------------------
 def run_suite(*, quick: bool = False) -> Dict[str, Any]:
     """Run the kernel benchmarks; returns the BENCH_kernels payload."""
     raycast = bench_raycast(quick=quick)
     raster = bench_raster(quick=quick)
     fairshare = bench_fairshare(quick=quick)
-    events = bench_events(quick=quick)
     return {
         "suite": "kernels",
         "quick": quick,
@@ -286,15 +172,12 @@ def run_suite(*, quick: bool = False) -> Dict[str, Any]:
             "raycast": raycast,
             "raster": raster,
             "fairshare": fairshare,
-            "events": events,
         },
         # the floors baseline_kernels.json pins; higher is better
         "gates": {
             "raycast_speedup": raycast["speedup"],
             "raster_speedup": raster["speedup"],
             "fairshare_speedup": fairshare["speedup"],
-            "events_churn_speedup": events["churn_speedup"],
-            "events_env_speedup": events["env_speedup"],
         },
     }
 
@@ -333,12 +216,5 @@ def summary(results: Dict[str, Any]) -> str:
             f"  fairshare {f['flows']:.0f}x{f['resources']:.0f}  "
             f"{f['oracle_s'] * 1e3:8.2f}ms -> {f['vectorized_s'] * 1e3:8.2f}ms "
             f" ({f['speedup']:.2f}x per solve)"
-        )
-    if "events" in bench:
-        e = bench["events"]
-        lines.append(
-            f"  events churn {e['resident_events'] / 1e6:.1f}M   "
-            f"{e['heap_s']:8.3f}s -> {e['calendar_s']:8.3f}s  "
-            f"({e['churn_speedup']:.2f}x; env storm {e['env_speedup']:.2f}x)"
         )
     return "\n".join(lines)

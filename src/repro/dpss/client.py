@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.config import NetworkConfig, _UNSET, warn_deprecated_kwarg
+from repro.config import NetworkConfig
 from repro.dpss.blocks import BlockMap
 from repro.dpss.compression import CompressionModel
 from repro.dpss.stripe import StripeMap, XorCodec
@@ -139,35 +139,7 @@ class DpssClient:
         logger: Optional[NetLogger] = None,
         rng: Optional[np.random.Generator] = None,
         health: Optional["HealthTracker"] = None,
-        tcp_params: Optional[TcpParams] = _UNSET,
-        compression: Optional[CompressionModel] = _UNSET,
     ):
-        if tcp_params is not _UNSET or compression is not _UNSET:
-            if config is not None:
-                raise ValueError(
-                    "pass either config= or the deprecated "
-                    "tcp_params=/compression= kwargs, not both"
-                )
-            if tcp_params is not _UNSET:
-                warn_deprecated_kwarg(
-                    "DpssClient", "tcp_params", "config=NetworkConfig(tcp=...)"
-                )
-            if compression is not _UNSET:
-                warn_deprecated_kwarg(
-                    "DpssClient",
-                    "compression",
-                    "config=NetworkConfig(compression=...)",
-                )
-            config = NetworkConfig(
-                tcp=(
-                    tcp_params
-                    if tcp_params not in (_UNSET, None)
-                    else TcpParams()
-                ),
-                compression=(
-                    compression if compression is not _UNSET else None
-                ),
-            )
         self.network = network
         self.host_name = host_name
         self.master = master
@@ -185,7 +157,7 @@ class DpssClient:
         self._pools: Dict[str, List[TcpConnection]] = {}
         self._leased: Set[TcpConnection] = set()
 
-    # -- config accessors (legacy attribute names) ----------------------
+    # -- config accessors --------------------------------------------
     @property
     def tcp_params(self) -> TcpParams:
         return self.config.tcp

@@ -12,10 +12,8 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.simcore.calendar import CalendarQueue
 from repro.simcore.events import (
     AllOf,
     AnyOf,
@@ -27,17 +25,6 @@ from repro.simcore.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SimSanitizer
-
-#: Event-engine used when ``Environment(scheduler=None)``.  ``"heap"`` is
-#: the reference heapq engine (the oracle); ``"calendar"`` selects the
-#: bucketed :class:`repro.simcore.calendar.CalendarQueue`, which yields
-#: the identical (time, priority, counter) total order.  Module-level so
-#: campaigns/tests can flip every internally-created Environment at once
-#: (the same pattern as ``repro.simcore.fluid.DEFAULT_INCREMENTAL``).
-DEFAULT_SCHEDULER = "heap"
-
-_SCHEDULERS = ("heap", "calendar")
-
 
 class EmptySchedule(Exception):
     """Internal: the event queue ran dry."""
@@ -59,23 +46,10 @@ class Environment:
         assert env.now == 1.0 and proc.value == "done"
     """
 
-    def __init__(self, initial_time: float = 0.0, scheduler: Optional[str] = None):
-        if scheduler is None:
-            scheduler = DEFAULT_SCHEDULER
-        if scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {_SCHEDULERS}"
-            )
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self.scheduler = scheduler
-        self._heap: List[Tuple[float, int, int, Event]] = []
-        self._calendar: Optional[CalendarQueue] = (
-            CalendarQueue(origin=self._now) if scheduler == "calendar" else None
-        )
-        #: the live queue under either engine (sized, truthy when non-empty)
-        self._queue: Union[List[Tuple[float, int, int, Event]], CalendarQueue] = (
-            self._heap if self._calendar is None else self._calendar
-        )
+        #: heapq of ``(time, priority, counter, event)`` entries
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._counter = count()
         self._active_process: Optional[Process] = None
         self._unhandled: List[Tuple[Process, BaseException]] = []
@@ -118,11 +92,9 @@ class Environment:
 
     # -- scheduling (kernel API) -------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        entry = (self._now + delay, priority, next(self._counter), event)
-        if self._calendar is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._calendar.push(entry)
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, next(self._counter), event)
+        )
 
     def _crashed(self, process: Process, exc: BaseException) -> None:
         self._unhandled.append((process, exc))
@@ -130,18 +102,13 @@ class Environment:
     # -- run loop ----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._calendar is not None:
-            return self._calendar.peek_time()
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:
             raise EmptySchedule()
-        if self._calendar is None:
-            when, _prio, _cnt, event = heapq.heappop(self._heap)
-        else:
-            when, _prio, _cnt, event = self._calendar.pop()
+        when, _prio, _cnt, event = heapq.heappop(self._queue)
         if when < self._now - 1e-12:
             raise SimulationError("event scheduled in the past")
         self._now = max(self._now, when)

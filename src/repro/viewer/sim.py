@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from repro.config import _UNSET, NetworkConfig, warn_deprecated_kwarg
+from repro.config import NetworkConfig
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
-from repro.netsim.tcp import TcpConnection, TcpParams
+from repro.netsim.tcp import TcpConnection
 from repro.simcore.events import Event
 from repro.simcore.pipeline import DROP, BoundedBuffer, Pipeline, PipelineSummary
 from repro.util.validation import check_positive
@@ -96,22 +96,9 @@ class SimViewer:
         daemon: Optional["NetLogDaemon"] = None,
         light_bytes: float = 256.0,
         config: Optional[NetworkConfig] = None,
-        tcp_params: Optional[TcpParams] = _UNSET,
         render_loop: Optional[RenderLoopModel] = None,
     ):
         check_positive("light_bytes", light_bytes)
-        if tcp_params is not _UNSET:
-            if config is not None:
-                raise ValueError(
-                    "pass either config= or the deprecated tcp_params=, "
-                    "not both"
-                )
-            warn_deprecated_kwarg(
-                "SimViewer", "tcp_params", "config=NetworkConfig(tcp=...)"
-            )
-            config = NetworkConfig(
-                tcp=tcp_params if tcp_params is not None else TcpParams()
-            )
         self.config = config if config is not None else NetworkConfig()
         self.network = network
         self.host_name = host_name

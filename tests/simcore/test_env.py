@@ -1,5 +1,7 @@
 """Tests for the event loop, processes and composite events."""
 
+import random
+
 import pytest
 
 from repro.simcore import (
@@ -319,6 +321,58 @@ def test_interrupt_terminated_process_rejected():
     env.run()
     with pytest.raises(SimulationError):
         p.interrupt()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_same_tick_timeouts_fire_in_time_then_scheduling_order(seed):
+    # Delays from {0, 1, 2} pile many timeouts onto the same instants;
+    # ties must break by the order the timeouts were scheduled in.
+    rng = random.Random(seed)
+    env = Environment()
+    scheduled = []
+    fired = []
+
+    def hopper(env):
+        for _ in range(rng.randint(2, 6)):
+            seq = len(scheduled)
+            delay = rng.choice([0, 1, 2])
+            scheduled.append(env.now + delay)
+            yield env.timeout(delay)
+            fired.append((env.now, seq))
+
+    for _ in range(20):
+        env.process(hopper(env))
+    env.run()
+    assert len(fired) == len(scheduled)
+    assert fired == sorted(fired)
+    assert all(now == scheduled[seq] for now, seq in fired)
+
+
+def test_interrupt_fires_before_same_instant_timeout():
+    # The interrupt is scheduled after the observer's timeout, at the
+    # same instant; its priority 0 must still put it first.
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10.0)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+
+    def interrupter(env, victim):
+        yield env.timeout(1.0)
+        victim.interrupt()
+
+    def observer(env):
+        yield env.timeout(1.0)
+        log.append(("observer", env.now))
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.process(observer(env))
+    env.run()
+    assert log == [("interrupted", 1.0), ("observer", 1.0)]
 
 
 def test_any_of_fires_on_first():
