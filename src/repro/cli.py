@@ -9,10 +9,7 @@ Installed as the ``visapult`` console script::
     visapult campaign sc99-flaky --stripe 4+1
     visapult serve-sim sc99-multiviewer --viewers 6 --scaled
     visapult serve-sim sc99-serve10k --sessions 2000 --flow-classes on
-    visapult bench --quick --check
-    visapult bench --suite shard --quick --check
-    visapult bench --suite stripe --quick --check
-    visapult bench --suite kernels --quick --check
+    visapult bench --output BENCH.json --check
     visapult lint
     visapult check src/repro --json CHECK_findings.json
     visapult iperf --wan esnet --streams 8
@@ -275,50 +272,30 @@ def cmd_serve(args) -> int:
 def cmd_bench(args) -> int:
     import json
 
-    if args.suite == "render":
-        from repro.core import bench_render as suite_mod
+    from repro.core import bench
 
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_render.json"
-    elif args.suite == "shard":
-        from repro.core import bench_shard as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_shard.json"
-    elif args.suite == "stripe":
-        from repro.core import bench_stripe as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_stripe.json"
-    elif args.suite == "kernels":
-        from repro.core import bench_kernels as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_kernels.json"
-    else:
-        from repro.core import bench as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick, e2e=not args.no_e2e)
-        default_baseline = "benchmarks/perf/baseline.json"
-    print(suite_mod.summary(results))
+    results = bench.run_suite()
+    print(bench.summary(results))
     if args.output is not None:
-        suite_mod.write_results(results, args.output)
-        print(f"benchmark results -> {args.output}")
+        _write_payload(args.output, results, "benchmark results")
     if args.check:
-        baseline_path = args.baseline or default_baseline
         try:
-            with open(baseline_path) as fh:
+            with open(args.baseline) as fh:
                 baseline = json.load(fh)
         except OSError as exc:
             print(f"cannot read baseline: {exc}", file=sys.stderr)
             return 2
-        failures = suite_mod.check_regression(results, baseline)
+        speedups = {
+            name: entry["speedup"]
+            for name, entry in results["benchmarks"].items()
+        }
+        failures = bench.check_floors(speedups, baseline)
         if failures:
             print("benchmark regressions vs baseline:", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
-        print(f"no benchmark regression vs {baseline_path}")
+        print(f"no benchmark regression vs {args.baseline}")
     return 0
 
 
@@ -533,30 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
-        "bench", help="run the performance benchmark suites"
+        "bench", help="time each fast path against its in-tree oracle"
     )
-    p.add_argument("--suite", choices=["fluid", "render", "shard",
-                                       "stripe", "kernels"],
-                   default="fluid",
-                   help="fluid: allocator speedups; render: tile wire "
-                        "savings + compositing + orbit cache; shard: "
-                        "flow-class aggregation vs per-session flows; "
-                        "stripe: parity-read overhead + flaky-drill "
-                        "p99 read latency vs the fault-free baseline; "
-                        "kernels: vectorized raycast/raster/fairshare "
-                        "vs scalar oracles")
-    p.add_argument("--quick", action="store_true",
-                   help="small workloads (CI-sized; scaled e2e campaign)")
-    p.add_argument("--no-e2e", action="store_true",
-                   help="skip the end-to-end sc99-multiviewer benchmark "
-                        "(fluid suite only)")
     p.add_argument("--output", default=None, metavar="PATH",
-                   help="write results JSON (e.g. BENCH_fluid.json)")
+                   help="write results JSON (e.g. BENCH.json)")
     p.add_argument("--check", action="store_true",
-                   help="fail if gated metrics regress >25%% vs baseline")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline floors JSON for --check (default: the "
-                        "suite's benchmarks/perf baseline)")
+                   help="fail if a speedup regresses >25%% vs baseline")
+    p.add_argument("--baseline", default="benchmarks/perf/baseline.json",
+                   metavar="PATH",
+                   help="baseline floors JSON for --check "
+                        "(default: %(default)s)")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(

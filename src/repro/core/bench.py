@@ -1,32 +1,37 @@
-"""Allocator performance benchmarks (the ``visapult bench`` suite).
+"""Oracle-vs-fast wall-clock gates (the ``visapult bench`` harness).
 
-Three microbenchmarks drive a :class:`~repro.simcore.fluid.FluidScheduler`
-directly with the event mix that dominates real campaigns (TCP-style
-cap churn, transfer completions), once with the incremental
-component-partitioned allocator and once with the fresh-recompute
-oracle (``incremental=False``). The two modes produce bitwise
-identical simulations -- the parity suite pins that -- so the wall
-clock ratio is a pure measure of the allocator hot path:
+Every fast path this codebase leans on keeps a slower in-tree oracle
+that produces the same result bit for bit. Each entry of :data:`PAIRS`
+is one bench function taking ``fast: bool``; it times one side and
+returns ``(wall seconds, output)``. The harness runs the oracle side,
+then the fast side, raises if the two outputs differ, and reports the
+``oracle_s / fast_s`` ratio. ``benchmarks/perf/baseline.json`` pins a
+floor per pair (ratios, not absolute seconds, so the gate is
+hardware-robust); absolute and per-layer numbers live in
+``perfbench/``.
 
-- ``disjoint_sessions``: >= 8 viewer sessions on disjoint last-mile
-  components, the serving-layer shape incremental allocation targets;
-- ``one_giant_component``: the same flow count coupled through one
-  backbone, the worst case where partitioning cannot help and only
-  spec caching does;
-- ``churn_service``: disjoint sessions with short transfers completing
-  and resubmitting, exercising component-cache invalidation.
-
-The end-to-end benchmark times the ``sc99-multiviewer`` registry
-campaign in both modes. Results land in ``BENCH_fluid.json``;
-``benchmarks/perf/baseline.json`` pins the speedups CI guards against
-(ratios, not absolute seconds, so they are hardware-robust).
+- fluid allocator, incremental vs fresh recompute:
+  ``disjoint_sessions`` (cap churn on disjoint last-mile components),
+  ``one_giant_component`` (the same churn coupled through one
+  backbone, where only spec caching helps), ``churn_service`` (short
+  transfers completing and resubmitting) and ``e2e`` (the scaled
+  ``sc99-multiviewer`` campaign);
+- shard serving, flow classes vs per-session flows: ``serve10k``
+  (a 2,000-session ``sc99-serve10k``; every session must be admitted);
+- kernels, vectorized vs scalar: ``raycast_speedup``
+  (:func:`~repro.volren.raycast.render_slab` at 48^3),
+  ``raster_speedup`` (:func:`~repro.scenegraph.raster.render` of a
+  textured quad mesh) and ``fairshare_speedup``
+  (:func:`~repro.simcore.fairshare.fill_rates` on one big component).
 """
 
 from __future__ import annotations
 
-import json
+import random
 import time
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.simcore.env import Environment
 from repro.simcore.fluid import FluidResource, FluidScheduler, FluidTask
@@ -35,7 +40,11 @@ from repro.simcore.fluid import FluidResource, FluidScheduler, FluidTask
 #: the checked-in baseline speedup.
 REGRESSION_TOLERANCE = 0.25
 
+#: one side of a pair: (wall seconds, output the two sides must agree on)
+Timed = Tuple[float, Any]
 
+
+# -- fluid allocator -----------------------------------------------------
 def _session_resources(
     sched: FluidScheduler, session: int, *, backbone: Optional[FluidResource]
 ) -> List[FluidResource]:
@@ -66,38 +75,14 @@ def _cap_churner(
         sched.set_cap(task, cap)
 
 
-def bench_disjoint_sessions(
-    incremental: bool, *, n_sessions: int = 8, streams: int = 4,
-    ticks: int = 400,
-) -> float:
-    """Cap churn across ``n_sessions`` disjoint last-mile components."""
+def _cap_churn(
+    fast: bool, *, shared: bool, n_sessions: int, streams: int, ticks: int
+) -> Timed:
     env = Environment()
-    sched = FluidScheduler(env, incremental=incremental)
-    tasks: List[FluidTask] = []
-    for s in range(n_sessions):
-        path = _session_resources(sched, s, backbone=None)
-        usage = {res: 1.0 for res in path}
-        for k in range(streams):
-            task = FluidTask(f"s{s}w{k}", work=1.0e15, usage=usage)
-            sched.submit(task)
-            tasks.append(task)
-        session_tasks = tasks[-streams:]
-        env.process(
-            _cap_churner(env, sched, session_tasks, ticks=ticks, dt=0.01)
-        )
-    start = time.perf_counter()
-    env.run(until=ticks * 0.01 + 1.0)
-    return time.perf_counter() - start
-
-
-def bench_one_giant_component(
-    incremental: bool, *, n_sessions: int = 8, streams: int = 4,
-    ticks: int = 400,
-) -> float:
-    """The same churn with every session coupled through one backbone."""
-    env = Environment()
-    sched = FluidScheduler(env, incremental=incremental)
-    backbone = sched.add_resource(FluidResource("backbone", 2.5e9))
+    sched = FluidScheduler(env, incremental=fast)
+    backbone = (
+        sched.add_resource(FluidResource("backbone", 2.5e9)) if shared else None
+    )
     tasks: List[FluidTask] = []
     for s in range(n_sessions):
         path = _session_resources(sched, s, backbone=backbone)
@@ -112,13 +97,28 @@ def bench_one_giant_component(
         )
     start = time.perf_counter()
     env.run(until=ticks * 0.01 + 1.0)
-    return time.perf_counter() - start
+    return time.perf_counter() - start, [task.rate for task in tasks]
+
+
+def bench_disjoint_sessions(
+    fast: bool, *, n_sessions: int = 8, streams: int = 2, ticks: int = 120
+) -> Timed:
+    """Cap churn across ``n_sessions`` disjoint last-mile components."""
+    return _cap_churn(fast, shared=False, n_sessions=n_sessions,
+                      streams=streams, ticks=ticks)
+
+
+def bench_one_giant_component(
+    fast: bool, *, n_sessions: int = 8, streams: int = 2, ticks: int = 120
+) -> Timed:
+    """The same churn with every session coupled through one backbone."""
+    return _cap_churn(fast, shared=True, n_sessions=n_sessions,
+                      streams=streams, ticks=ticks)
 
 
 def bench_churn_service(
-    incremental: bool, *, n_sessions: int = 8, streams: int = 4,
-    transfers: int = 60,
-) -> float:
+    fast: bool, *, n_sessions: int = 8, streams: int = 2, transfers: int = 20
+) -> Timed:
     """Short transfers arriving/completing on disjoint components.
 
     Every completion and resubmission invalidates the component cache,
@@ -126,7 +126,7 @@ def bench_churn_service(
     churn.
     """
     env = Environment()
-    sched = FluidScheduler(env, incremental=incremental)
+    sched = FluidScheduler(env, incremental=fast)
 
     def stream_proc(usage: Dict[FluidResource, float], name: str) -> Generator:
         for n in range(transfers):
@@ -142,27 +142,24 @@ def bench_churn_service(
             env.process(stream_proc(usage, f"c{s}w{k}"))
     start = time.perf_counter()
     env.run()
-    return time.perf_counter() - start
+    return time.perf_counter() - start, env.now
 
 
-def bench_e2e_multiviewer(
-    incremental: bool, *, scaled: bool = False
-) -> Dict[str, float]:
-    """Wall-clock the sc99-multiviewer service campaign end to end."""
+def bench_e2e_multiviewer(fast: bool) -> Timed:
+    """Wall-clock the scaled sc99-multiviewer service campaign."""
     import repro.simcore.fluid as fluid
     from repro.core.campaign import named_campaign
     from repro.service.manager import SessionManager
 
     config = named_campaign("sc99-multiviewer")
-    if scaled:
-        config = config.with_changes(
-            workload=config.workload.with_changes(n_viewers=4),
-            base=config.base.with_changes(
-                n_timesteps=2, shape=(160, 64, 64), dataset_timesteps=8
-            ),
-        )
+    config = config.with_changes(
+        workload=config.workload.with_changes(n_viewers=4),
+        base=config.base.with_changes(
+            n_timesteps=2, shape=(160, 64, 64), dataset_timesteps=8
+        ),
+    )
     previous = fluid.DEFAULT_INCREMENTAL
-    fluid.DEFAULT_INCREMENTAL = incremental
+    fluid.DEFAULT_INCREMENTAL = fast
     try:
         manager = SessionManager(config)
         start = time.perf_counter()
@@ -171,84 +168,142 @@ def bench_e2e_multiviewer(
         wall = time.perf_counter() - start
     finally:
         fluid.DEFAULT_INCREMENTAL = previous
-    stats = manager.net.sched.stats
-    return {
-        "wall_s": wall,
-        "sched_events": float(stats.events),
-        "events_per_s": stats.events / wall if wall > 0 else 0.0,
-        "components_solved": float(stats.components_solved),
-        "flows_touched": float(stats.flows_touched),
-        "wakes_scheduled": float(stats.wakes_scheduled),
-        "stale_wakes": float(stats.stale_wakes),
-    }
+    return wall, manager.net.env.now
 
 
-def _pair(bench, **kwargs: Any) -> Dict[str, float]:
-    oracle = bench(False, **kwargs)
-    incremental = bench(True, **kwargs)
-    return {
-        "oracle_s": round(oracle, 4),
-        "incremental_s": round(incremental, 4),
-        "speedup": round(oracle / incremental, 3) if incremental > 0 else 0.0,
-    }
+# -- shard serving -------------------------------------------------------
+def bench_serve10k(fast: bool, *, n_sessions: int = 2000) -> Timed:
+    """sc99-serve10k with flow-class aggregation (fast) or per session."""
+    from repro.config import FlowClassConfig
+    from repro.service.shard import ShardCampaign, run_shard_campaign
 
-
-def run_suite(*, quick: bool = False, e2e: bool = True) -> Dict[str, Any]:
-    """Run the full benchmark suite; returns the BENCH_fluid payload."""
-    micro_kwargs: Dict[str, Any] = (
-        {"n_sessions": 8, "streams": 2, "ticks": 120}
-        if quick
-        else {"n_sessions": 8, "streams": 4, "ticks": 400}
-    )
-    churn_kwargs: Dict[str, Any] = (
-        {"n_sessions": 8, "streams": 2, "transfers": 20}
-        if quick
-        else {"n_sessions": 8, "streams": 4, "transfers": 60}
-    )
-    results: Dict[str, Any] = {
-        "suite": "fluid-allocator",
-        "quick": quick,
-        "benchmarks": {
-            "disjoint_sessions": {
-                **micro_kwargs,
-                **_pair(bench_disjoint_sessions, **micro_kwargs),
-            },
-            "one_giant_component": {
-                **micro_kwargs,
-                **_pair(bench_one_giant_component, **micro_kwargs),
-            },
-            "churn_service": {
-                **churn_kwargs,
-                **_pair(bench_churn_service, **churn_kwargs),
-            },
-        },
-    }
-    if e2e:
-        oracle = bench_e2e_multiviewer(False, scaled=quick)
-        incremental = bench_e2e_multiviewer(True, scaled=quick)
-        speedup = (
-            oracle["wall_s"] / incremental["wall_s"]
-            if incremental["wall_s"] > 0
-            else 0.0
+    config = ShardCampaign.sc99_serve10k(n_sessions=n_sessions)
+    if not fast:
+        config = config.with_changes(
+            flow_classes=FlowClassConfig(enabled=False)
         )
-        results["e2e"] = {
-            "campaign": "sc99-multiviewer",
-            "scaled": quick,
-            "oracle": oracle,
-            "incremental": incremental,
-            "speedup": round(speedup, 3),
-        }
-    return results
+    start = time.perf_counter()
+    result = run_shard_campaign(config)
+    wall = time.perf_counter() - start
+    service = result.metrics.service
+    if service.admitted != n_sessions:
+        raise AssertionError(
+            f"serve10k must admit every session: "
+            f"{service.admitted} of {n_sessions}"
+        )
+    return wall, result.total_time
 
 
-def _speedups(results: Dict[str, Any]) -> Dict[str, float]:
-    speedups = {
-        name: entry["speedup"]
-        for name, entry in results.get("benchmarks", {}).items()
+# -- kernels -------------------------------------------------------------
+def bench_raycast(fast: bool, *, dim: int = 48) -> Timed:
+    """render_slab on a random volume, vectorized vs per-pixel oracle."""
+    from repro.volren.raycast import render_slab
+    from repro.volren.transfer import TransferFunction
+
+    volume = np.random.default_rng(11).random((dim, dim, dim))
+    tf = TransferFunction.fire()
+    render_slab(volume, tf)  # warm numpy/scipy caches
+    start = time.perf_counter()
+    image, _ = render_slab(volume, tf, return_depth=True, vectorized=fast)
+    return time.perf_counter() - start, image
+
+
+def _mesh_scene(n_quads: int, tex_dim: int, seed: int):
+    from repro.scenegraph import Group, LineSet, QuadMesh, Texture2D
+
+    rng = np.random.default_rng(seed)
+    root = Group()
+    grid = np.zeros((n_quads + 1, n_quads + 1, 3))
+    xs = np.linspace(-1.0, 1.0, n_quads + 1)
+    grid[..., 0] = xs[None, :]
+    grid[..., 1] = xs[:, None]
+    grid[..., 2] = 0.25 * rng.random((n_quads + 1, n_quads + 1))
+    root.add(QuadMesh(grid, Texture2D(rng.random((tex_dim, tex_dim, 4)).astype(np.float32))))
+    root.add(LineSet(rng.uniform(-1, 1, (8, 2, 3)), color=(1.0, 0.3, 0.1, 0.9)))
+    return root
+
+
+def bench_raster(fast: bool, *, n_quads: int = 6, size: int = 96) -> Timed:
+    """Quad-mesh scene render, grid engine vs per-pixel oracle."""
+    from repro.scenegraph import Camera
+    from repro.scenegraph.raster import render
+
+    scene = _mesh_scene(n_quads, 32, seed=5)
+    camera = Camera(
+        position=(1.8, 1.4, 2.4), target=(0.0, 0.0, 0.0),
+        up=(0.0, 1.0, 0.0), extent=3.2,
+    )
+    render(scene, camera, size, size)  # warm
+    start = time.perf_counter()
+    image = render(scene, camera, size, size, vectorized=fast)
+    return time.perf_counter() - start, image
+
+
+def _component(n_flows: int, n_resources: int, degree: int, seed: int):
+    from repro.simcore.fairshare import FlowSpec, ResourceSpec
+
+    rng = random.Random(seed)
+    resources = {
+        f"r{j}": ResourceSpec(f"r{j}", rng.uniform(5.0, 50.0))
+        for j in range(n_resources)
     }
-    if "e2e" in results:
-        speedups["e2e"] = results["e2e"]["speedup"]
-    return speedups
+    flows = []
+    for i in range(n_flows):
+        usage = {
+            f"r{j}": rng.uniform(0.2, 2.0)
+            for j in rng.sample(range(n_resources), degree)
+        }
+        floor = 0.0 if i % 3 else rng.uniform(0.0, 0.5)
+        flows.append(FlowSpec(f"f{i}", rng.uniform(0.5, 20.0), usage, floor))
+    return flows, resources
+
+
+def bench_fairshare(
+    fast: bool, *, n_flows: int = 64, n_resources: int = 32, solves: int = 8
+) -> Timed:
+    """fill_rates on one big component, matrix engine vs dict oracle."""
+    from repro.simcore.fairshare import fill_rates
+
+    flows, resources = _component(n_flows, n_resources, 4, seed=9)
+    fill_rates(flows, resources, vectorized=True)  # warm
+    start = time.perf_counter()
+    for _ in range(solves):
+        rates = fill_rates(flows, resources, vectorized=fast)
+    return time.perf_counter() - start, rates
+
+
+#: the gated pairs, in run order; names are the baseline.json keys
+PAIRS: Dict[str, Callable[[bool], Timed]] = {
+    "disjoint_sessions": bench_disjoint_sessions,
+    "one_giant_component": bench_one_giant_component,
+    "churn_service": bench_churn_service,
+    "e2e": bench_e2e_multiviewer,
+    "serve10k": bench_serve10k,
+    "raycast_speedup": bench_raycast,
+    "raster_speedup": bench_raster,
+    "fairshare_speedup": bench_fairshare,
+}
+
+
+# -- harness -------------------------------------------------------------
+def run_pair(name: str, bench: Callable[[bool], Timed]) -> Dict[str, float]:
+    """Time the oracle side, then the fast side; raise if they diverge."""
+    oracle_s, oracle_out = bench(False)
+    fast_s, fast_out = bench(True)
+    if not np.array_equal(oracle_out, fast_out):
+        raise AssertionError(f"{name}: the fast path diverged from its oracle")
+    return {
+        "oracle_s": round(oracle_s, 6),
+        "fast_s": round(fast_s, 6),
+        "speedup": round(oracle_s / fast_s, 3) if fast_s > 0 else 0.0,
+    }
+
+
+def run_suite() -> Dict[str, Any]:
+    """Run every pair; returns the BENCH.json payload."""
+    return {
+        "benchmarks": {name: run_pair(name, bench) for name, bench in PAIRS.items()}
+    }
 
 
 def check_floors(
@@ -256,64 +311,30 @@ def check_floors(
     baseline: Dict[str, float],
     *,
     tolerance: float = REGRESSION_TOLERANCE,
-    what: str = "speedup",
-    unit: str = "x",
 ) -> List[str]:
-    """Gate measured higher-is-better metrics against baseline floors.
+    """Gate measured speedups against baseline floors.
 
-    Returns a list of failure descriptions (empty means every metric
-    stayed within ``tolerance`` of its floor). Shared by the fluid and
-    render suites; both gate on ratios, so the check is insensitive to
-    how fast the host happens to be.
+    Returns a list of failure descriptions (empty means every speedup
+    stayed within ``tolerance`` of its floor).
     """
     failures = []
     for name, floor in baseline.items():
         got = measured.get(name)
         if got is None:
-            failures.append(
-                f"{name}: no measurement (baseline {floor}{unit})"
-            )
+            failures.append(f"{name}: no measurement (baseline {floor}x)")
         elif got < floor * (1.0 - tolerance):
             failures.append(
-                f"{name}: {what} {got:.2f}{unit} fell more than "
-                f"{tolerance:.0%} below baseline {floor}{unit}"
+                f"{name}: speedup {got:.2f}x fell more than "
+                f"{tolerance:.0%} below baseline {floor}x"
             )
     return failures
 
 
-def check_regression(
-    results: Dict[str, Any],
-    baseline: Dict[str, float],
-    *,
-    tolerance: float = REGRESSION_TOLERANCE,
-) -> List[str]:
-    """Compare measured speedups against the checked-in baseline.
-
-    Baselines are speedup *ratios*, so the gate is insensitive to how
-    fast the host happens to be.
-    """
-    return check_floors(_speedups(results), baseline, tolerance=tolerance)
-
-
-def write_results(results: Dict[str, Any], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def summary(results: Dict[str, Any]) -> str:
-    lines = ["allocator benchmarks (oracle -> incremental):"]
-    for name, entry in results.get("benchmarks", {}).items():
+    lines = ["oracle-vs-fast pairs (oracle -> fast):"]
+    for name, entry in results["benchmarks"].items():
         lines.append(
-            f"  {name:22s} {entry['oracle_s']:8.3f}s -> "
-            f"{entry['incremental_s']:8.3f}s  ({entry['speedup']:.2f}x)"
-        )
-    if "e2e" in results:
-        e2e = results["e2e"]
-        lines.append(
-            f"  {'e2e ' + e2e['campaign']:22s} "
-            f"{e2e['oracle']['wall_s']:8.3f}s -> "
-            f"{e2e['incremental']['wall_s']:8.3f}s  ({e2e['speedup']:.2f}x, "
-            f"{e2e['incremental']['events_per_s']:.0f} sched events/s)"
+            f"  {name:22s} {entry['oracle_s']:8.4f}s -> "
+            f"{entry['fast_s']:8.4f}s  ({entry['speedup']:.2f}x)"
         )
     return "\n".join(lines)

@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Dict
 import numpy as np
 
 from repro.netlogger.analysis import EventLog
+from repro.util.stats import percentile
 from repro.util.units import bytes_per_sec_to_mbps, fmt_seconds
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,11 +155,7 @@ class CampaignResult:
             reconstructions=backend.timing.reconstructions,
             parity_bytes=backend.timing.parity_bytes,
             stripe_cancels=backend.timing.stripe_cancels,
-            read_p99=(
-                float(np.percentile(backend.timing.read_seconds, 99))
-                if backend.timing.read_seconds
-                else 0.0
-            ),
+            read_p99=percentile(backend.timing.read_seconds, 99),
         )
 
     # -- derived -----------------------------------------------------------

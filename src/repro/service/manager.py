@@ -71,6 +71,7 @@ from repro.service.metrics import ServiceMetrics, SessionRecord
 from repro.service.workload import ViewerProfile, WorkloadSpec
 from repro.simcore.process import Process
 from repro.util.rng import spawn_rngs
+from repro.util.stats import percentile
 from repro.util.units import KIB, MB, bytes_per_sec_to_mbps, mbps
 from repro.viewer.sim import SimViewer
 
@@ -697,19 +698,8 @@ def _reduce(
         stripe_cancels=sum(
             b.timing.stripe_cancels for b in manager.backends
         ),
-        read_p99=(
-            float(
-                np.percentile(
-                    [
-                        s
-                        for b in manager.backends
-                        for s in b.timing.read_seconds
-                    ],
-                    99,
-                )
-            )
-            if any(b.timing.read_seconds for b in manager.backends)
-            else 0.0
+        read_p99=percentile(
+            [s for b in manager.backends for s in b.timing.read_seconds], 99
         ),
         service=metrics,
         sessions=list(manager.records),

@@ -5,6 +5,8 @@ using the subsystem at all, and the same (plan, seed) pair replays a
 byte-identical event stream.
 """
 
+import pytest
+
 from repro.config import StripeConfig
 from repro.core import run_campaign
 from repro.core.campaign import named_campaign
@@ -201,3 +203,60 @@ class TestDegradedCompositing:
         # Nothing heavy crossed the wire for skipped slabs, but the
         # run still terminates and accounts every frame.
         assert result.n_frames == config.n_timesteps
+
+
+class TestStripedDrill:
+    """sc99-flaky at 4 timesteps: a slow or crashed server costs a
+    parity reconstruction, not a timeout+retry round trip.
+
+    Runs with the drill's faults off, on, and swapped for one long
+    single-server slowdown, each unstriped and striped 4+1. Seeded
+    runs repeat exactly, so the bounds carry no wall-clock slack.
+    """
+
+    PLANS = {
+        "clean": dict(faults=None, policy=None),
+        "flaky": {},  # the drill's own double crash + loss + slowdown
+        "slowburn": dict(faults=FaultPlan.of([
+            ServerSlowdown(at=0.2, duration=30.0, server="dpss1",
+                           factor=0.02)
+        ])),
+    }
+
+    @pytest.fixture(scope="class")
+    def drill(self):
+        runs = {}
+        for plan, changes in self.PLANS.items():
+            for striped in (False, True):
+                config = named_campaign("sc99-flaky").with_changes(
+                    n_timesteps=4,
+                    stripe=StripeConfig.from_spec("4+1") if striped else None,
+                    **changes,
+                )
+                runs[plan, striped] = run_campaign(config)
+        return runs
+
+    def test_flaky_striped_tail_stays_near_the_fault_free_baseline(
+        self, drill
+    ):
+        clean = drill["clean", False].read_p99
+        flaky = drill["flaky", True].read_p99
+        assert flaky <= 1.25 * clean
+        assert clean / flaky >= 0.85  # tail containment
+
+    def test_reconstruction_beats_retry_and_is_free_when_healthy(self, drill):
+        flaky_striped = drill["flaky", True]
+        assert flaky_striped.retries == 0
+        assert drill["flaky", False].retries > 0
+        tail_speedup = drill["flaky", False].read_p99 / flaky_striped.read_p99
+        assert tail_speedup >= 2.0
+        clean_overhead = (
+            drill["clean", False].read_p99 / drill["clean", True].read_p99
+        )
+        assert clean_overhead >= 0.9
+
+    def test_single_slow_server_is_masked_by_parity(self, drill):
+        slowburn = drill["slowburn", True]
+        assert slowburn.reconstructions > 0
+        assert slowburn.degraded_frames == 0
+        assert slowburn.read_p99 < drill["slowburn", False].read_p99

@@ -82,26 +82,21 @@ class TestServeSim:
 
 
 class TestBench:
+    PAYLOAD = {
+        "benchmarks": {
+            "disjoint_sessions": {
+                "oracle_s": 1.0, "fast_s": 0.2, "speedup": 5.0
+            }
+        }
+    }
+
     def test_quick_micro_suite_writes_json(self, capsys, tmp_path, monkeypatch):
-        # tiny workloads: this exercises the plumbing, not the numbers
+        # a stubbed run: this exercises the plumbing, not the numbers
         import repro.core.bench as bench
 
-        def fast_suite(*, quick, e2e):
-            assert quick and not e2e
-            return {
-                "suite": "fluid-allocator",
-                "quick": True,
-                "benchmarks": {
-                    "disjoint_sessions": {
-                        "oracle_s": 1.0, "incremental_s": 0.2, "speedup": 5.0
-                    }
-                },
-            }
-
-        monkeypatch.setattr(bench, "run_suite", fast_suite)
-        json_path = tmp_path / "BENCH_fluid.json"
-        code = main(["bench", "--quick", "--no-e2e",
-                     "--output", str(json_path)])
+        monkeypatch.setattr(bench, "run_suite", lambda: self.PAYLOAD)
+        json_path = tmp_path / "BENCH.json"
+        code = main(["bench", "--output", str(json_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "disjoint_sessions" in out and "5.00x" in out
@@ -113,34 +108,29 @@ class TestBench:
     def test_check_fails_on_regression(self, capsys, tmp_path, monkeypatch):
         import repro.core.bench as bench
 
-        monkeypatch.setattr(
-            bench,
-            "run_suite",
-            lambda *, quick, e2e: {
-                "benchmarks": {
-                    "disjoint_sessions": {
-                        "oracle_s": 1.0, "incremental_s": 1.0, "speedup": 1.0
-                    }
-                }
-            },
-        )
+        monkeypatch.setattr(bench, "run_suite", lambda: self.PAYLOAD)
         baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"disjoint_sessions": 5.0}\n')
-        code = main(["bench", "--quick", "--no-e2e", "--check",
-                     "--baseline", str(baseline)])
+        baseline.write_text('{"disjoint_sessions": 8.0}\n')
+        code = main(["bench", "--check", "--baseline", str(baseline)])
         assert code == 1
         assert "regressions" in capsys.readouterr().err
 
     def test_check_missing_baseline(self, capsys, tmp_path, monkeypatch):
         import repro.core.bench as bench
 
-        monkeypatch.setattr(
-            bench, "run_suite", lambda *, quick, e2e: {"benchmarks": {}}
-        )
-        code = main(["bench", "--no-e2e", "--check",
+        monkeypatch.setattr(bench, "run_suite", lambda: {"benchmarks": {}})
+        code = main(["bench", "--check",
                      "--baseline", str(tmp_path / "absent.json")])
         assert code == 2
         assert "cannot read baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--suite", "render"], ["--quick"],
+                                      ["--no-e2e"]])
+    def test_removed_switches_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestIperf:
