@@ -615,45 +615,20 @@ class ExperimentConfig:
                 f"campaign {self.campaign!r} is not a shard campaign; "
                 f"topology/flow_classes apply to shard campaigns only"
             )
-        if not hasattr(config, "n_timesteps"):
-            # A service campaign: the single-session knobs apply to its
-            # base config, the seed to the service run as a whole.
-            base_changes: Dict[str, Any] = {}
-            if self.frames is not None:
-                base_changes["n_timesteps"] = self.frames
-            if self.scaled:
-                base_changes["shape"] = (160, 64, 64)
-                base_changes["dataset_timesteps"] = max(
-                    self.frames if self.frames is not None
-                    else config.base.n_timesteps,
-                    8,
-                )
-            if self.faults is not None:
-                base_changes["faults"] = self.faults
-            if self.policy is not None:
-                base_changes["policy"] = self.policy
-            tiles = self._tile_config()
-            if tiles is not None:
-                base_changes["tiles"] = tiles
-            stripe = self._stripe_config()
-            if stripe is not None:
-                base_changes["stripe"] = stripe
-            if base_changes:
-                config = config.with_changes(
-                    base=config.base.with_changes(**base_changes)
-                )
-            if self.seed is not None:
-                config = config.with_changes(seed=self.seed)
-            return config
-        changes: Dict[str, Any] = {}
-        frames = self.frames if self.frames is not None else config.n_timesteps
+        # A service campaign's single-session knobs apply to its base
+        # config, the seed to the service run as a whole.
+        service = not hasattr(config, "n_timesteps")
+        session = config.base if service else config
+        changes = {}
         if self.frames is not None:
             changes["n_timesteps"] = self.frames
         if self.scaled:
             changes["shape"] = (160, 64, 64)
-            changes["dataset_timesteps"] = max(frames, 8)
-        if self.seed is not None:
-            changes["seed"] = self.seed
+            changes["dataset_timesteps"] = max(
+                self.frames if self.frames is not None
+                else session.n_timesteps,
+                8,
+            )
         if self.faults is not None:
             changes["faults"] = self.faults
         if self.policy is not None:
@@ -664,4 +639,12 @@ class ExperimentConfig:
         stripe = self._stripe_config()
         if stripe is not None:
             changes["stripe"] = stripe
-        return config.with_changes(**changes) if changes else config
+        if self.seed is not None and not service:
+            changes["seed"] = self.seed
+        if not service:
+            return config.with_changes(**changes) if changes else config
+        if changes:
+            config = config.with_changes(base=session.with_changes(**changes))
+        if self.seed is not None:
+            config = config.with_changes(seed=self.seed)
+        return config

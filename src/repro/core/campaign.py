@@ -10,7 +10,7 @@ frame loop, and returns a :class:`~repro.core.report.CampaignResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.backend.sim import SimBackEnd
 from repro.config import (
@@ -32,6 +32,7 @@ from repro.core.platforms import (
 from repro.core.report import CampaignResult
 from repro.datagen.timeseries import TimeSeriesMeta
 from repro.dpss.blocks import DpssDataset
+from repro.dpss.health import HealthTracker
 from repro.dpss.master import DpssMaster
 from repro.dpss.server import DpssServer
 from repro.faults.injector import FaultInjector
@@ -44,12 +45,16 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import RequestPolicy
 from repro.netlogger.daemon import NetLogDaemon
+from repro.netlogger.logger import NetLogger
 from repro.netsim.host import Host
 from repro.netsim.link import Link
 from repro.netsim.tcp import TcpParams
 from repro.netsim.topology import Network
 from repro.util.units import KIB, mbps
 from repro.viewer.sim import SimViewer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.service.cache import RenderCache
 
 #: the paper's combustion dataset: 640x256x256 floats, 265 steps
 PAPER_SHAPE: Tuple[int, int, int] = (640, 256, 256)
@@ -294,11 +299,127 @@ def named_campaign(name: str, *, overlapped: bool = False):
     return factory(overlapped)
 
 
-def build_session(config: CampaignConfig):
-    """Construct the simulated world for a campaign.
+@dataclass
+class World:
+    """The site every viewer session of one campaign shares.
 
-    Returns ``(network, backend, viewer, daemon)`` ready to run;
-    :func:`run_campaign` is the one-call wrapper.
+    The DPSS site with the dataset registered, the monitored WAN, the
+    compute platform's PE pool and its routes, the request policy and
+    the striped-read health tracker (the fault injector, if any, is
+    already running on ``net``). :func:`build_session` attaches one viewer and one back end;
+    :class:`repro.service.SessionManager` attaches a pair per admitted
+    session.
+    """
+
+    config: CampaignConfig
+    net: Network
+    daemon: NetLogDaemon
+    master: DpssMaster
+    dpss_lan: Link
+    wan: Link
+    pe_hosts: List[Host]
+    meta: TimeSeriesMeta
+    #: the enabled stripe config; ``None`` keeps round-robin placement
+    stripe: Optional[StripeConfig]
+    policy: Optional[RequestPolicy]
+    health: Optional[HealthTracker]
+
+    def attach_viewer(self, name: str, wan: Optional[WanSpec]) -> SimViewer:
+        """A viewer host behind ``wan`` (``None``: a local gigabit LAN)
+        on link ``{name}-{wan.name}`` or ``{name}-lan``."""
+        net = self.net
+        net.add_host(Host(name, nic_rate=mbps(100.0)))
+        if wan is None:
+            link = Link(f"{name}-lan", rate=mbps(1000.0), latency=0.0001)
+        else:
+            link = _wan_link(f"{name}-{wan.name}", wan)
+        net.add_link(link)
+        for host in dict.fromkeys(h.name for h in self.pe_hosts):
+            net.add_route(host, name, [link])
+        net.add_route("dpss-master", name, [self.dpss_lan, self.wan])
+        return SimViewer(
+            net, name, daemon=self.daemon,
+            config=NetworkConfig(tcp=TcpParams(max_window=1024 * KIB)),
+        )
+
+    def attach_backend(
+        self, viewer: SimViewer, *, seed: int, frames: int,
+        reserved_rate: float = 0.0,
+        frustum: Optional[Tuple[float, float, float, float]] = None,
+        render_cache: Optional["RenderCache"] = None,
+        session: Optional[str] = None,
+    ) -> SimBackEnd:
+        """A back end on the shared PE pool streaming to ``viewer``."""
+        config = self.config
+        plat = config.platform
+        overlapped = config.overlapped
+        tiles = config.tiles if config.tiles is not None else TileConfig()
+        if frustum is not None:
+            tiles = tiles.with_changes(frustum=frustum)
+        return SimBackEnd(
+            self.net,
+            self.pe_hosts,
+            self.master,
+            self.meta.name,
+            viewer,
+            self.meta,
+            daemon=self.daemon,
+            render_cost=plat.render_cost_model(),
+            config=BackendConfig(
+                n_timesteps=frames,
+                overlapped=overlapped,
+                overlap_depth=config.overlap_depth,
+                mpi_only_overlap=config.mpi_only_overlap,
+                overlap_render_share=(
+                    plat.overlap_render_share if overlapped else 1.0
+                ),
+                overlap_ingest_factor=(
+                    plat.overlap_ingest_factor if overlapped else 1.0
+                ),
+                load_jitter_cv=(
+                    plat.overlap_jitter_cv if overlapped else 0.0
+                ),
+                seed=seed,
+                network=NetworkConfig(
+                    tcp=TcpParams(max_window=config.wan.tcp_window),
+                    policy=self.policy,
+                    reserved_rate=reserved_rate,
+                    stripe=(
+                        self.stripe if self.stripe is not None
+                        else StripeConfig()
+                    ),
+                ),
+                tiles=tiles,
+            ),
+            render_cache=render_cache,
+            session=session,
+            health=self.health,
+        )
+
+
+def _wan_link(name: str, spec: WanSpec, *, monitor: bool = False) -> Link:
+    return Link(
+        name,
+        rate=spec.rate,
+        latency=spec.latency,
+        efficiency=spec.efficiency,
+        background_rate=spec.background_rate,
+        monitor=monitor,
+    )
+
+
+def build_world(
+    config: CampaignConfig,
+    *,
+    dpss_cache_bytes: float = 0.0,
+    link_aliases: Optional[Dict[str, str]] = None,
+) -> World:
+    """Build the shared site of a campaign on a fresh simulator.
+
+    ``dpss_cache_bytes`` sizes each DPSS server's block cache (a
+    time-series sweep never re-reads a block, so one session runs
+    with none). ``link_aliases`` names links of the fault plan beyond
+    ``"wan"``, which always resolves to the campaign's WAN.
     """
     net = Network()
     daemon = NetLogDaemon()
@@ -331,22 +452,12 @@ def build_session(config: CampaignConfig):
             h,
             n_disks=DPSS_DISKS_PER_SERVER,
             disk_rate=DPSS_DISK_RATE,
-            cache_bytes=0.0,  # time-series sweeps never re-read blocks
+            cache_bytes=dpss_cache_bytes,
         )
         server.attach(net)
         master.add_server(server)
 
-    # --- WAN ----------------------------------------------------------
-    wan = net.add_link(
-        Link(
-            config.wan.name,
-            rate=config.wan.rate,
-            latency=config.wan.latency,
-            efficiency=config.wan.efficiency,
-            background_rate=config.wan.background_rate,
-            monitor=True,
-        )
-    )
+    wan = net.add_link(_wan_link(config.wan.name, config.wan, monitor=True))
 
     # --- compute platform ----------------------------------------------
     plat = config.platform
@@ -372,7 +483,6 @@ def build_session(config: CampaignConfig):
             )
         )
         pe_hosts = [smp] * config.n_pes
-
     # Routes: DPSS site <-> each compute host over the WAN.  Dedup
     # host names with dict keys (stable first-occurrence order), not a
     # set: str hashes are salted per process, so set order would vary
@@ -381,29 +491,6 @@ def build_session(config: CampaignConfig):
         net.add_route("dpss-master", host, [dpss_lan, wan])
         for i in range(n_servers):
             net.add_route(f"dpss{i}", host, [dpss_lan, wan])
-
-    # --- viewer ---------------------------------------------------------
-    viewer_host = net.add_host(Host("viewer", nic_rate=mbps(100.0)))
-    if config.viewer_remote:
-        vwan_spec = config.viewer_wan or config.wan
-        viewer_wan = net.add_link(
-            Link(
-                f"viewer-{vwan_spec.name}",
-                rate=vwan_spec.rate,
-                latency=vwan_spec.latency,
-                efficiency=vwan_spec.efficiency,
-                background_rate=vwan_spec.background_rate,
-            )
-        )
-        viewer_links = [viewer_wan]
-    else:
-        viewer_lan = net.add_link(
-            Link("viewer-lan", rate=mbps(1000.0), latency=0.0001)
-        )
-        viewer_links = [viewer_lan]
-    for host in dict.fromkeys(h.name for h in pe_hosts):
-        net.add_route(host, "viewer", viewer_links)
-    net.add_route("dpss-master", "viewer", [dpss_lan, wan])
 
     # --- dataset ---------------------------------------------------------
     # A non-empty fault plan turns on dataset replication so failovers
@@ -422,16 +509,11 @@ def build_session(config: CampaignConfig):
         stripe=stripe,
     )
 
-    # --- endpoints ---------------------------------------------------------
-    tcp = TcpParams(max_window=config.wan.tcp_window)
     policy = config.policy
     if policy is None and active_faults is not None:
         policy = RequestPolicy()
     health = None
     if stripe is not None:
-        from repro.dpss.health import HealthTracker
-        from repro.netlogger.logger import NetLogger
-
         health = HealthTracker(
             now=lambda: net.env.now,
             half_life=stripe.health_half_life,
@@ -440,51 +522,12 @@ def build_session(config: CampaignConfig):
                 clock=lambda: net.env.now, daemon=daemon,
             ),
         )
-    viewer = SimViewer(
-        net, "viewer", daemon=daemon,
-        config=NetworkConfig(tcp=TcpParams(max_window=1024 * KIB)),
-    )
-    backend = SimBackEnd(
-        net,
-        pe_hosts,
-        master,
-        meta.name,
-        viewer,
-        meta,
-        daemon=daemon,
-        render_cost=plat.render_cost_model(),
-        config=BackendConfig(
-            n_timesteps=config.n_timesteps,
-            overlapped=config.overlapped,
-            overlap_depth=config.overlap_depth,
-            mpi_only_overlap=config.mpi_only_overlap,
-            overlap_render_share=(
-                plat.overlap_render_share if config.overlapped else 1.0
-            ),
-            overlap_ingest_factor=(
-                plat.overlap_ingest_factor if config.overlapped else 1.0
-            ),
-            load_jitter_cv=(
-                plat.overlap_jitter_cv if config.overlapped else 0.0
-            ),
-            seed=config.seed,
-            network=NetworkConfig(
-                tcp=tcp, policy=policy,
-                stripe=stripe if stripe is not None else StripeConfig(),
-            ),
-            tiles=config.tiles if config.tiles is not None else TileConfig(),
-        ),
-        health=health,
-    )
 
     # --- faults ----------------------------------------------------------
     if active_faults is not None:
-        aliases = {"wan": config.wan.name}
-        if config.viewer_remote:
-            vspec = config.viewer_wan or config.wan
-            aliases["viewer-wan"] = f"viewer-{vspec.name}"
         injector = FaultInjector(
-            net, master, active_faults, daemon=daemon, link_aliases=aliases
+            net, master, active_faults, daemon=daemon,
+            link_aliases={"wan": config.wan.name, **(link_aliases or {})},
         )
         if health is not None:
             # Crash/flap observations bias which server the striped
@@ -493,7 +536,34 @@ def build_session(config: CampaignConfig):
             injector.observers.append(health.observe_fault)
         injector.start()
         net.fault_injector = injector
-    return net, backend, viewer, daemon
+    return World(
+        config=config, net=net, daemon=daemon, master=master,
+        dpss_lan=dpss_lan, wan=wan, pe_hosts=pe_hosts, meta=meta,
+        stripe=stripe, policy=policy, health=health,
+    )
+
+
+def build_session(config: CampaignConfig):
+    """Construct the simulated world for a campaign.
+
+    Returns ``(network, backend, viewer, daemon)`` ready to run;
+    :func:`run_campaign` is the one-call wrapper.
+    """
+    viewer_wan = (
+        (config.viewer_wan or config.wan) if config.viewer_remote else None
+    )
+    world = build_world(
+        config,
+        link_aliases=(
+            {"viewer-wan": f"viewer-{viewer_wan.name}"}
+            if viewer_wan is not None else None
+        ),
+    )
+    viewer = world.attach_viewer("viewer", viewer_wan)
+    backend = world.attach_backend(
+        viewer, seed=config.seed, frames=config.n_timesteps
+    )
+    return world.net, backend, viewer, world.daemon
 
 
 def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
@@ -506,7 +576,6 @@ def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
     before writing ULM.
     """
     from repro.netlogger.events import Tags
-    from repro.netlogger.logger import NetLogger
 
     logger = NetLogger(
         "scheduler", "alloc", clock=lambda: net.env.now, daemon=daemon
@@ -528,6 +597,46 @@ def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
         )
 
     return finalize
+
+
+def observed_run(
+    net: Network, daemon: NetLogDaemon, start: Callable[[], Any],
+    reduce: Callable[[], CampaignResult], *, sanitize: bool = False,
+    ulm_path: Optional[str] = None, alloc_stats: bool = False,
+) -> Any:
+    """Run the process ``start()`` returns to completion, then
+    ``reduce()`` the run into a result.
+
+    The observers behind :func:`run_campaign`'s keywords are attached
+    first; none of them changes a simulated timing.
+    """
+    sanitizer = None
+    if sanitize:
+        from repro.analysis import attach_sanitizer
+
+        sanitizer = attach_sanitizer(
+            net.env,
+            logger=NetLogger(
+                "sanitizer",
+                "sanitizer",
+                clock=lambda: net.env.now,
+                daemon=daemon,
+            ),
+        )
+    finish_alloc = (
+        attach_alloc_logger(net, daemon) if alloc_stats else None
+    )
+    net.run(until=start())
+    if finish_alloc is not None:
+        finish_alloc()
+    if ulm_path is not None:
+        daemon.write_ulm(ulm_path)
+    result = reduce()
+    if sanitizer is not None:
+        # Reduce results first so event_log matches the unsanitized
+        # run exactly; the SAN_* events land in the daemon afterwards.
+        result.sanitizer_findings = list(sanitizer.report().findings)
+    return result
 
 
 def run_campaign(
@@ -566,32 +675,8 @@ def run_campaign(
             alloc_stats=alloc_stats,
         )
     net, backend, viewer, daemon = build_session(config)
-    sanitizer = None
-    if sanitize:
-        from repro.analysis import attach_sanitizer
-        from repro.netlogger.logger import NetLogger
-
-        sanitizer = attach_sanitizer(
-            net.env,
-            logger=NetLogger(
-                "sanitizer",
-                "sanitizer",
-                clock=lambda: net.env.now,
-                daemon=daemon,
-            ),
-        )
-    finish_alloc = (
-        attach_alloc_logger(net, daemon) if alloc_stats else None
+    return observed_run(
+        net, daemon, backend.run,
+        lambda: CampaignResult.from_run(config, net, backend, viewer, daemon),
+        sanitize=sanitize, ulm_path=ulm_path, alloc_stats=alloc_stats,
     )
-    done = backend.run()
-    net.run(until=done)
-    if finish_alloc is not None:
-        finish_alloc()
-    if ulm_path is not None:
-        daemon.write_ulm(ulm_path)
-    result = CampaignResult.from_run(config, net, backend, viewer, daemon)
-    if sanitizer is not None:
-        # Reduce results first so event_log matches the unsanitized
-        # run exactly; the SAN_* events land in the daemon afterwards.
-        result.sanitizer_findings = list(sanitizer.report().findings)
-    return result

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Any, Dict, Sequence
 
 import numpy as np
 
@@ -87,6 +87,29 @@ class CampaignResult:
         viewer: "SimViewer",
         daemon: "NetLogDaemon",
     ) -> "CampaignResult":
+        """Reduce one single-session run."""
+        return cls.reduce(
+            config, network, daemon, [backend],
+            total_time=backend.timing.total_time,
+            n_frames=config.n_timesteps,
+            frames_complete=viewer.complete_frames(backend.n_pes),
+        )
+
+    @classmethod
+    def reduce(
+        cls,
+        config: "CampaignConfig",
+        network: "Network",
+        daemon: "NetLogDaemon",
+        backends: Sequence["SimBackEnd"],
+        *,
+        total_time: float,
+        n_frames: int,
+        frames_complete: int,
+        **extra: Any,
+    ) -> Any:
+        """Reduce a finished run of ``backends`` sharing one world
+        into a result; ``extra`` fills a subclass's own fields."""
         log = EventLog(daemon.events)
         per_frame_load = log.per_frame_load_times()
         per_frame_render = log.per_frame_render_times()
@@ -101,7 +124,7 @@ class CampaignResult:
 
         # Aggregate goodput while data was moving: bytes loaded over
         # the union span of load activity per frame, averaged.
-        bytes_per_frame = backend.meta.bytes_per_timestep
+        bytes_per_frame = config.meta.bytes_per_timestep
         load_rates = [
             bytes_per_frame / t for t in per_frame_load.values() if t > 0
         ]
@@ -125,10 +148,11 @@ class CampaignResult:
         ]
         recovery = max(fault_ts) - min(inject_ts) if inject_ts else 0.0
 
+        timings = [b.timing for b in backends]
         return cls(
             config=config,
-            total_time=backend.timing.total_time,
-            n_frames=config.n_timesteps,
+            total_time=total_time,
+            n_frames=n_frames,
             mean_load=float(loads.mean()),
             std_load=float(loads.std()),
             mean_render=float(renders.mean()),
@@ -137,25 +161,32 @@ class CampaignResult:
             wan_capacity_mbps=bytes_per_sec_to_mbps(
                 config.wan.usable_capacity
             ),
-            backend_to_viewer_bytes=backend.timing.bytes_sent_to_viewer,
-            dpss_to_backend_bytes=backend.timing.bytes_loaded,
-            viewer_frames_complete=viewer.complete_frames(backend.n_pes),
+            backend_to_viewer_bytes=sum(
+                t.bytes_sent_to_viewer for t in timings
+            ),
+            dpss_to_backend_bytes=sum(t.bytes_loaded for t in timings),
+            viewer_frames_complete=frames_complete,
             event_log=log,
             per_frame_load=per_frame_load,
             per_frame_render=per_frame_render,
             wan_utilization_series=wan_series,
-            degraded_frames=len(backend.timing.degraded_frames),
-            retries=backend.timing.retries,
-            hedges=backend.timing.hedges,
+            # Sessions never share a back end, so per-back-end frame
+            # sets count distinct (session, frame) pairs.
+            degraded_frames=sum(len(t.degraded_frames) for t in timings),
+            retries=sum(t.retries for t in timings),
+            hedges=sum(t.hedges for t in timings),
             recovery_seconds=recovery,
-            tiles_full=backend.timing.tiles_full,
-            tiles_ref=backend.timing.tiles_ref,
-            tile_bytes_saved=backend.timing.tile_bytes_saved,
-            hedges_abandoned=backend.timing.hedges_abandoned,
-            reconstructions=backend.timing.reconstructions,
-            parity_bytes=backend.timing.parity_bytes,
-            stripe_cancels=backend.timing.stripe_cancels,
-            read_p99=percentile(backend.timing.read_seconds, 99),
+            tiles_full=sum(t.tiles_full for t in timings),
+            tiles_ref=sum(t.tiles_ref for t in timings),
+            tile_bytes_saved=sum(t.tile_bytes_saved for t in timings),
+            hedges_abandoned=sum(t.hedges_abandoned for t in timings),
+            reconstructions=sum(t.reconstructions for t in timings),
+            parity_bytes=sum(t.parity_bytes for t in timings),
+            stripe_cancels=sum(t.stripe_cancels for t in timings),
+            read_p99=percentile(
+                [s for t in timings for s in t.read_seconds], 99
+            ),
+            **extra,
         )
 
     # -- derived -----------------------------------------------------------

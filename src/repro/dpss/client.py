@@ -123,12 +123,6 @@ class DpssClient:
     jitter (no generator = no jitter, still deterministic).
     """
 
-    #: pluggable striped-read engine: one instance per dpss_read when
-    #: ``config.stripe.enabled`` and the dataset carries a StripeMap.
-    #: Assigned after :class:`RedundantReadRequestor` is defined below;
-    #: swap it to experiment with other redundant-read policies.
-    requestor_cls: type
-
     def __init__(
         self,
         network: "Network",
@@ -294,7 +288,7 @@ class DpssClient:
             self.config.stripe.enabled
             and handle.block_map.stripe is not None
         ):
-            requestor = self.requestor_cls(
+            requestor = RedundantReadRequestor(
                 self, handle.block_map, offset, nbytes, label
             )
             stats = yield from requestor.run()
@@ -1308,6 +1302,3 @@ class RedundantReadRequestor:
             yield host.compute(self.xor_cpu, label=f"{self.label}:xor")
         stats.end = env.now
         return stats
-
-
-DpssClient.requestor_cls = RedundantReadRequestor

@@ -32,10 +32,7 @@ _REL = 1e-9
 
 #: Default engine for :func:`fill_rates` when ``vectorized`` is ``None``:
 #: the coefficient-matrix path for components with at least this many
-#: flows, the dict-walking scalar oracle below it.  Set
-#: ``DEFAULT_VECTORIZED = False`` to force the oracle everywhere (the
-#: parity suites do exactly that).
-DEFAULT_VECTORIZED = True
+#: flows, the dict-walking scalar oracle below it.
 _VEC_MIN_FLOWS = 24
 
 
@@ -136,7 +133,7 @@ def fill_rates(
     oracle's iteration order exactly.
     """
     if vectorized is None:
-        vectorized = DEFAULT_VECTORIZED and len(flows) >= _VEC_MIN_FLOWS
+        vectorized = len(flows) >= _VEC_MIN_FLOWS
     if vectorized:
         return _fill_rates_matrix(flows, res_by_name)
     return _fill_rates_scalar(flows, res_by_name)

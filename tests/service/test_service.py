@@ -10,6 +10,7 @@ degraded slabs are never published into the shared cache.
 import pytest
 
 from repro.core import run_campaign
+from repro.config import StripeConfig
 from repro.core.campaign import CampaignConfig, named_campaign
 from repro.faults import FaultPlan, RequestPolicy, ServerCrash
 from repro.service import (
@@ -52,16 +53,51 @@ def normalize_service_ulm(text):
     return "\n".join(lines) + "\n"
 
 
+def _test_sized(name, *, overlapped=False):
+    return named_campaign(name, overlapped=overlapped).with_changes(
+        shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=2
+    )
+
+
+def _parity_cases():
+    """(base campaign, viewer profile) pairs covering each branch of the
+    shared world: SMP vs cluster PE routes, local vs remote viewer link,
+    faults with replicas and a policy, and striping with the health
+    tracker observing the injector."""
+    cplant8 = _test_sized("nton_cplant8")
+    flaky = named_campaign("sc99-flaky")
+    return {
+        "showfloor": (tiny_base(), ViewerProfile()),
+        "cplant4-overlapped": (
+            _test_sized("nton_cplant4", overlapped=True), ViewerProfile()
+        ),
+        "cplant8-remote-viewer": (
+            cplant8,
+            ViewerProfile(wan=cplant8.viewer_wan or cplant8.wan),
+        ),
+        "flaky": (flaky, ViewerProfile()),
+        "flaky-striped": (
+            flaky.with_changes(
+                stripe=StripeConfig(enabled=True, n_data=4, n_parity=1)
+            ),
+            ViewerProfile(),
+        ),
+    }
+
+
 class TestSingleViewerParity:
+    @pytest.mark.parametrize("case", sorted(_parity_cases()))
     def test_single_session_reproduces_the_campaign_byte_for_byte(
-        self, tmp_path
+        self, case, tmp_path
     ):
-        base = tiny_base()
-        run_campaign(base, ulm_path=str(tmp_path / "plain.ulm"))
+        base, profile = _parity_cases()[case]
+        plain_result = run_campaign(base, ulm_path=str(tmp_path / "plain.ulm"))
         svc = ServiceCampaign(
             name="parity",
             base=base,
-            workload=WorkloadSpec(mode="open", n_viewers=1),
+            workload=WorkloadSpec(
+                mode="open", n_viewers=1, profiles=(profile,)
+            ),
             cache=CacheConfig(enabled=False),
         )
         result = run_service_campaign(
@@ -74,6 +110,8 @@ class TestSingleViewerParity:
         assert service == plain
         assert result.service.completed == 1
         assert result.viewer_frames_complete == base.n_timesteps
+        assert result.retries == plain_result.retries
+        assert result.reconstructions == plain_result.reconstructions
 
 
 class TestWarmCacheAcceptance:

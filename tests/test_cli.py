@@ -38,6 +38,21 @@ class TestCampaign:
         assert code == 0
         assert "BE_LOAD_START" in capsys.readouterr().out
 
+    def test_striped_flaky_campaign_reads_without_retries(
+        self, capsys, tmp_path
+    ):
+        """Parity reads ride out the sc99-flaky drill end to end:
+        every frame arrives and no read is retried."""
+        import json
+
+        json_path = tmp_path / "flaky.json"
+        code = main(["campaign", "sc99-flaky", "--stripe", "4+1",
+                     "--json", str(json_path)])
+        assert code == 0
+        metrics = json.loads(json_path.read_text())["metrics"]
+        assert metrics["viewer_frames_complete"] == metrics["n_frames"] == 6
+        assert metrics["retries"] == 0
+
     def test_unknown_campaign(self, capsys):
         assert main(["campaign", "nope"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
